@@ -1,13 +1,14 @@
 # Convenience driver.  `make check` is the tier-1 gate: full build,
-# unit + property tests, a short fixed-seed chaos sweep over all
-# kernels plus the fault-injection detection check, the sanitizer
-# smoke (faults convicted early, clean circuits silent), and the
-# bounded simulation-throughput smoke bench with its regression gate.
+# unit + property tests, the repository benchmark's self-test, a short
+# fixed-seed chaos sweep over all kernels plus the fault-injection
+# detection check, the sanitizer smoke (faults convicted early, clean
+# circuits silent), and the bounded simulation-throughput smoke bench
+# with its regression gate.
 
 DUNE ?= dune
 
-.PHONY: all build test chaos chaos-supervised crash-chaos sanitize-smoke \
-  bench-smoke serve-smoke faultfs-smoke fmt check clean
+.PHONY: all build test perfbench-selftest chaos chaos-supervised crash-chaos \
+  sanitize-smoke bench-smoke serve-smoke faultfs-smoke fmt check clean
 
 all: build
 
@@ -16,6 +17,13 @@ build:
 
 test: build
 	$(DUNE) runtest
+
+# The repository benchmark's own checks (~2 s): its metric list agrees
+# with BENCHMARK.json, its result gates accept and reject what they
+# should, and the smoke set of simulations totals its pinned 500,748
+# cycles.  See perfbench/README.md.
+perfbench-selftest: build
+	$(DUNE) build @perfbench/selftest
 
 # Short adversarial sweep: 2 chaos trials per kernel at a fixed seed,
 # plus the Eq. 1 fault-injection checks (must all be caught, with the
@@ -102,8 +110,8 @@ faultfs-smoke: build
 fmt:
 	$(DUNE) build @fmt --auto-promote
 
-check: build test chaos chaos-supervised crash-chaos sanitize-smoke \
-  bench-smoke serve-smoke faultfs-smoke
+check: build test perfbench-selftest chaos chaos-supervised crash-chaos \
+  sanitize-smoke bench-smoke serve-smoke faultfs-smoke
 
 clean:
 	$(DUNE) clean

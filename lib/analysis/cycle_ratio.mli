@@ -2,7 +2,15 @@
     of a choice-free circuit is the maximum over its directed cycles of
     latency / tokens (paper Section 2.1; the analytic counterpart of the
     MILP throughput model).  Computed by parametric search with
-    Bellman–Ford positive-cycle detection. *)
+    Bellman–Ford positive-cycle detection.
+
+    Each call flattens the edge list once into dense arrays — source and
+    destination node indices, latencies and token counts as floats — and
+    runs every probe of the search over them, reusing one distance
+    array.  Edges are relaxed in list order with the test
+    [dist(u) + w > dist(v) + 1e-9] for at most [n + 1] rounds; results
+    are pinned bit for bit to the list-based original kept as the test
+    oracle ([test/oracle_cycle_ratio.ml]). *)
 
 type result =
   | Ratio of float  (** the maximum cycle ratio (the achievable II) *)

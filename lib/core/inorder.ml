@@ -10,7 +10,8 @@
       the whole unit latency into the dependency cycle (Figure 2: II 4
       instead of 2), so fewer groups are legal — the optimizer must
       re-evaluate the circuit's performance model for every candidate
-      merge, which is the ~10x optimization-time cost vs CRUSH;
+      merge, which is its optimization-time cost vs CRUSH (~10x in the
+      paper, ~4x against this repository's analytic model);
     - opportunity: operations under divergent control flow cannot be
       ordered by BB sequence at all (absent tokens would stall the
       rotation), so the irregular kernels (gsum/gsumif) share little.
@@ -103,7 +104,7 @@ let rotation_preserves_ii ctx ops =
 
 (** Apply In-order sharing to [graph] in place. *)
 let share ?shareable graph ~critical_loops ~conditional_bbs =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let evaluations = ref 0 in
   let ctx = Context.make graph ~critical_loops in
   let candidates = Context.candidates ?shareable ctx in
@@ -176,6 +177,6 @@ let share ?shareable graph ~critical_loops ~conditional_bbs =
   {
     groups = shared;
     singles = List.length !groups - List.length to_share;
-    opt_time_s = Sys.time () -. t0;
+    opt_time_s = Unix.gettimeofday () -. t0;
     evaluations = !evaluations;
   }

@@ -3,12 +3,13 @@
     basic-block order — strict per-iteration rotation within a loop,
     program order across nests — and every candidate merge is vetted by
     re-running the performance model with the rotation ring added, which
-    is the source of its ~10x optimization-time cost against CRUSH. *)
+    is the source of its optimization-time cost against CRUSH (~10x in
+    the paper, ~4x against this repository's analytic model). *)
 
 type report = {
   groups : Share.shared_group list;
   singles : int;
-  opt_time_s : float;
+  opt_time_s : float;  (** wall-clock optimization time *)
   evaluations : int;  (** performance-model evaluations performed *)
 }
 

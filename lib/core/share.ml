@@ -32,7 +32,7 @@ type report = {
     [credit_fn] overrides the credit allocation of Equation 3. *)
 let crush ?shareable ?enforce_r3 ?(reverse_priority = false) ?credit_fn graph
     ~critical_loops =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let ctx = Context.make graph ~critical_loops in
   let groups = Groups.infer ?shareable ?enforce_r3 ctx in
   let to_share = Groups.sharing_groups groups in
@@ -57,7 +57,7 @@ let crush ?shareable ?enforce_r3 ?(reverse_priority = false) ?credit_fn graph
   {
     groups = shared;
     singles = List.length groups - List.length to_share;
-    opt_time_s = Sys.time () -. t0;
+    opt_time_s = Unix.gettimeofday () -. t0;
   }
 
 let pp_report ppf r =

@@ -6,7 +6,9 @@
     perturbation counters, the full observability event stream and the
     sanitizer verdicts (invariant, cycle, unit, detail) must all match
     the oracle on every kernel, technique, chaos seed, paper example,
-    fault injection and random circuit below. *)
+    fault injection and random circuit below.  The same suite pins the
+    flat-array cycle-ratio analysis to its frozen list-based original
+    ([Oracle_cycle_ratio]). *)
 
 open Helpers
 
@@ -313,6 +315,219 @@ let prop_random_builder =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Cycle-ratio oracle: the flat-array analysis in [Analysis.Cycle_ratio]
+   against the frozen list-based [Oracle_cycle_ratio].  The contract is
+   bit-identity: the same variant, and for [Ratio] the same float bits. *)
+
+let ratio_string = function
+  | Oracle_cycle_ratio.Ratio r -> Fmt.str "Ratio %h" r
+  | Oracle_cycle_ratio.Unbounded -> "Unbounded"
+  | Oracle_cycle_ratio.Acyclic -> "Acyclic"
+
+let of_rewrite = function
+  | Analysis.Cycle_ratio.Ratio r -> Oracle_cycle_ratio.Ratio r
+  | Analysis.Cycle_ratio.Unbounded -> Oracle_cycle_ratio.Unbounded
+  | Analysis.Cycle_ratio.Acyclic -> Oracle_cycle_ratio.Acyclic
+
+let check_edges name edges =
+  Alcotest.(check bool)
+    (name ^ ": has_cycle")
+    (Oracle_cycle_ratio.has_cycle edges)
+    (Analysis.Cycle_ratio.has_cycle edges);
+  Alcotest.(check string)
+    (name ^ ": compute")
+    (ratio_string (Oracle_cycle_ratio.compute edges))
+    (ratio_string (of_rewrite (Analysis.Cycle_ratio.compute edges)))
+
+let loop_edges g l =
+  let scope = Hashtbl.create 97 in
+  List.iter (fun u -> Hashtbl.replace scope u ()) (Analysis.Cfc.units_of_loop g l);
+  Analysis.Timed_graph.edges g ~in_scope:(Hashtbl.mem scope)
+
+(* Every loop CFC of every kernel, both codegen strategies, before and
+   after the CRUSH pass, plus each whole circuit. *)
+let test_cycle_ratio_kernels () =
+  let checked = ref 0 in
+  List.iter
+    (fun (b : Kernels.Registry.bench) ->
+      List.iter
+        (fun (sname, strategy) ->
+          let c = compile ~strategy b.source in
+          let g = c.Minic.Codegen.graph in
+          let check_graph stage =
+            List.iter
+              (fun l ->
+                incr checked;
+                check_edges
+                  (Fmt.str "%s/%s/%s loop %d" b.name sname stage l)
+                  (loop_edges g l))
+              (Analysis.Cfc.loop_ids g);
+            check_edges
+              (Fmt.str "%s/%s/%s whole circuit" b.name sname stage)
+              (Analysis.Timed_graph.edges g)
+          in
+          check_graph "compiled";
+          ignore
+            (Crush.Share.crush g ~critical_loops:c.Minic.Codegen.critical_loops);
+          check_graph "crush")
+        Minic.Codegen.[ ("bb", Bb_ordered); ("ft", Fast_token) ])
+    Kernels.Registry.all;
+  checkb "loop CFCs checked" (!checked > 0)
+
+(* In-order's rotation rings, replayed: the greedy merge loop of
+   [Inorder.share], visiting candidate pairs in its order and deciding
+   with its own [rotation_preserves_ii], records for every vetted group
+   each critical CFC's edges with the rotation ring added, built as
+   [Inorder] builds them.  The evaluation count must match [share]'s, so
+   the replay covers every edge set the optimizer analyses. *)
+let rotation_ring_sets (c : Minic.Codegen.compiled) =
+  let g = c.graph in
+  let ctx = Crush.Context.make g ~critical_loops:c.critical_loops in
+  let program_order ops =
+    List.sort
+      (fun a b ->
+        compare (Dataflow.Graph.bb_of g a, a) (Dataflow.Graph.bb_of g b, b))
+      ops
+  in
+  let sets = ref [] and evaluations = ref 0 in
+  let record ops =
+    List.iter
+      (fun (cfc : Analysis.Cfc.t) ->
+        let members = program_order (List.filter (Analysis.Cfc.mem cfc) ops) in
+        if List.length members >= 2 then begin
+          let rec ring acc = function
+            | a :: (b :: _ as rest) ->
+                ring
+                  ({ Analysis.Timed_graph.src = a; dst = b; latency = 1; tokens = 0 }
+                  :: acc)
+                  rest
+            | [ last ] ->
+                { Analysis.Timed_graph.src = last; dst = List.hd members;
+                  latency = 1; tokens = 1 }
+                :: acc
+            | [] -> acc
+          in
+          sets := ring (loop_edges g cfc.loop_id) members :: !sets
+        end)
+      ctx.critical
+  in
+  let groups = ref (List.map (fun o -> [ o ]) (Crush.Context.candidates ctx)) in
+  let continue_ = ref true in
+  while !continue_ do
+    let arr = Array.of_list !groups in
+    let n = Array.length arr in
+    let merged = ref None in
+    (try
+       for i = 0 to n - 1 do
+         for j = i + 1 to n - 1 do
+           let ops = arr.(i) @ arr.(j) in
+           if
+             Crush.Groups.check_r1 ctx ops && Crush.Groups.check_r2 ctx ops
+             && Crush.Inorder.bb_legal g ~conditional_bbs:c.conditional_bbs ops
+           then begin
+             incr evaluations;
+             record ops;
+             if Crush.Inorder.rotation_preserves_ii ctx ops then begin
+               let op = Option.get (Crush.Context.opcode_of ctx (List.hd ops)) in
+               let credit =
+                 List.fold_left
+                   (fun m o -> max m (Crush.Context.credits_for ctx o))
+                   1 ops
+               in
+               if
+                 Crush.Cost.merge_profitable ~op ~credit
+                   ~a:(List.length arr.(i)) ~b:(List.length arr.(j))
+               then begin
+                 merged :=
+                   Some
+                     (ops
+                     :: (Array.to_list arr
+                        |> List.filteri (fun k _ -> k <> i && k <> j)));
+                 raise Exit
+               end
+             end
+           end
+         done
+       done
+     with Exit -> ());
+    match !merged with
+    | Some gs -> groups := gs
+    | None -> continue_ := false
+  done;
+  (List.rev !sets, !evaluations)
+
+let test_cycle_ratio_rotation_rings () =
+  let total_sets = ref 0 in
+  List.iter
+    (fun (b : Kernels.Registry.bench) ->
+      let sets, evaluations = rotation_ring_sets (compile b.source) in
+      let c = compile b.source in
+      let r =
+        Crush.Inorder.share c.graph ~critical_loops:c.critical_loops
+          ~conditional_bbs:c.conditional_bbs
+      in
+      checki (b.name ^ ": replayed evaluations") r.evaluations evaluations;
+      List.iteri
+        (fun k edges -> check_edges (Fmt.str "%s ring set %d" b.name k) edges)
+        sets;
+      total_sets := !total_sets + List.length sets)
+    Kernels.Registry.all;
+  checkb "rotation rings checked" (!total_sets > 0)
+
+let edge src dst latency tokens = { Analysis.Timed_graph.src; dst; latency; tokens }
+
+(* Hand-picked corner cases, each named for what it covers. *)
+let test_cycle_ratio_corners () =
+  List.iter
+    (fun (name, edges) -> check_edges name edges)
+    [
+      ("empty", []);
+      ("self-loop", [ edge 3 3 4 1 ]);
+      ("token-free self-loop", [ edge 3 3 4 0 ]);
+      ("zero-latency token-free ring", [ edge 0 1 0 0; edge 1 0 0 0 ]);
+      ("zero-token cycle", [ edge 0 1 2 0; edge 1 0 3 0; edge 1 2 1 1 ]);
+      ("duplicate edges", [ edge 0 1 3 1; edge 0 1 3 1; edge 1 0 2 0; edge 1 0 5 1 ]);
+      ( "disconnected rings",
+        [ edge 0 1 3 1; edge 1 0 2 0; edge 100 101 7 1; edge 101 100 9 1 ] );
+      ("acyclic chain", [ edge 0 1 5 0; edge 1 2 5 0; edge 5 6 1 1 ]);
+      ("negative ids", [ edge (-7) 12 4 1; edge 12 (-7) 4 2 ]);
+    ]
+
+(* Random timed graphs: one or two components (disjoint id ranges), each
+   a random edge list over a few nodes — self-loops, parallel duplicates
+   and token-free cycles arise often, the empty list too. *)
+let gen_timed_graph =
+  let open QCheck2.Gen in
+  let component base =
+    int_range 1 6 >>= fun nodes ->
+    list_size (int_range 0 12)
+      (map
+         (fun (((s, d), l), (t, dup)) ->
+           let e = edge (base + s) (base + d) l t in
+           if dup then [ e; e ] else [ e ])
+         (pair
+            (pair (pair (int_bound (nodes - 1)) (int_bound (nodes - 1)))
+               (int_range 0 9))
+            (pair (frequency [ (3, return 0); (2, int_range 1 2) ]) bool)))
+    >|= List.concat
+  in
+  pair (component 0) (opt (component 1000)) >|= fun (a, b) ->
+  a @ Option.value b ~default:[]
+
+let prop_cycle_ratio_random =
+  qtest ~count:500 "random timed graphs: cycle ratio = oracle"
+    ~print:(fun edges ->
+      String.concat "; "
+        (List.map
+           (fun (e : Analysis.Timed_graph.edge) ->
+             Fmt.str "%d->%d l%d t%d" e.src e.dst e.latency e.tokens)
+           edges))
+    gen_timed_graph
+    (fun edges ->
+      check_edges "random timed graph" edges;
+      true)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   kernel_cases @ kernel_chaos_cases
@@ -330,3 +545,12 @@ let suite =
           `Quick (test_fault fault))
       Crush.Faults.all
   @ [ prop_random_kernels; prop_random_kernels_chaos; prop_random_builder ]
+  @ [
+      Alcotest.test_case "cycle ratio = oracle: kernel loop CFCs" `Quick
+        test_cycle_ratio_kernels;
+      Alcotest.test_case "cycle ratio = oracle: In-order rotation rings"
+        `Quick test_cycle_ratio_rotation_rings;
+      Alcotest.test_case "cycle ratio = oracle: corner cases" `Quick
+        test_cycle_ratio_corners;
+      prop_cycle_ratio_random;
+    ]

@@ -632,6 +632,67 @@ let test_supervised_acceptance () =
         [ "fault"; "forced-timeout"; "crashing" ]
         quarantined)
 
+(* ------------------------------------------------------------------ *)
+(* Optimization times are per-call wall clock.  Timed with process CPU
+   time, a call also counted whatever other domains ran meanwhile: at
+   [~jobs:2] the summed table came out near twice the serial one.  A
+   call made while a second domain spins must report no more than its
+   own wall-clock span.  The summed table at [~jobs:2] must stay within
+   a loose factor of the serial one; on a host whose second core is
+   busy, the two domains share one core and each call's wall time
+   roughly doubles, hence the factor of 3 and the best of three tables
+   at each width. *)
+let test_opt_times_wall_clock () =
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  let timed name f =
+    let t0 = Unix.gettimeofday () in
+    let reported = f () in
+    let span = Unix.gettimeofday () -. t0 in
+    if reported > span then
+      Alcotest.failf "%s reports %.4f s inside a %.4f s call" name reported span
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join spinner)
+    (fun () ->
+      while not (Atomic.get started) do
+        Domain.cpu_relax ()
+      done;
+      List.iter
+        (fun (b : Kernels.Registry.bench) ->
+          let c = compile b.source in
+          timed (b.name ^ " CRUSH") (fun () ->
+              (Crush.Share.crush c.graph ~critical_loops:c.critical_loops)
+                .opt_time_s);
+          let c = compile b.source in
+          timed (b.name ^ " In-order") (fun () ->
+              (Crush.Inorder.share c.graph ~critical_loops:c.critical_loops
+                 ~conditional_bbs:c.conditional_bbs)
+                .opt_time_s))
+        Kernels.Registry.all);
+  let sum rows =
+    List.fold_left
+      (fun a (r : Report.Experiments.opt_time_row) ->
+        a +. r.crush_s +. r.inorder_s)
+      0.0 rows
+  in
+  let serial = ref infinity and parallel = ref infinity in
+  for _ = 1 to 3 do
+    serial := Float.min !serial (sum (Report.Experiments.opt_times ~jobs:1 ()));
+    parallel := Float.min !parallel (sum (Report.Experiments.opt_times ~jobs:2 ()))
+  done;
+  if !parallel > (3.0 *. !serial) +. 0.02 then
+    Alcotest.failf "summed opt time %.4f s at jobs:2 vs %.4f s at jobs:1"
+      !parallel !serial
+
 let suite =
   [
     Alcotest.test_case "campaign: map = serial map" `Quick test_map_matches_serial;
@@ -643,6 +704,8 @@ let suite =
     Alcotest.test_case "campaign: sweep product order" `Quick
       test_sweep_product_order;
     Alcotest.test_case "pool: reuse across batches" `Quick test_pool_reuse;
+    Alcotest.test_case "campaign: opt times are per-call wall clock" `Quick
+      test_opt_times_wall_clock;
     Alcotest.test_case "campaign: run_sims deterministic" `Quick
       test_run_sims_matches_serial;
     Alcotest.test_case "campaign: kernel x chaos-seed determinism" `Slow

@@ -72,6 +72,48 @@ let test_unrolled_table1_circuit () =
   let v = Kernels.Harness.run_circuit bench c.Minic.Codegen.graph in
   checkb "unrolled + shared correct" v.Kernels.Harness.functionally_correct
 
+(* The compile benchmark's exact counts: every kernel through the five
+   flows of Tables 2 and 3 (BB Naive, In-order, CRUSH; fast-token Naive,
+   CRUSH), summed.  IR size is taken after the frontend, area after the
+   sharing pass.  Any drift in the frontend, either sharing pass or the
+   area model shows here. *)
+let test_compile_exact_counts () =
+  let flows =
+    Minic.Codegen.[
+      (Bb_ordered, `Naive); (Bb_ordered, `Inorder); (Bb_ordered, `Crush);
+      (Fast_token, `Naive); (Fast_token, `Crush);
+      ]
+  in
+  let units = ref 0 and groups = ref 0 and evals = ref 0 in
+  let area = ref Analysis.Area.zero in
+  List.iter
+    (fun (b : Kernels.Registry.bench) ->
+      List.iter
+        (fun (strategy, technique) ->
+          let c = compile ~strategy b.source in
+          units := !units + Dataflow.Graph.live_unit_count c.graph;
+          (match technique with
+          | `Naive -> ()
+          | `Crush ->
+              let r = Crush.Share.crush c.graph ~critical_loops:c.critical_loops in
+              groups := !groups + List.length r.groups
+          | `Inorder ->
+              let r =
+                Crush.Inorder.share c.graph ~critical_loops:c.critical_loops
+                  ~conditional_bbs:c.conditional_bbs
+              in
+              groups := !groups + List.length r.groups;
+              evals := !evals + r.evaluations);
+          area := Analysis.Area.(!area ++ total c.graph))
+        flows)
+    Kernels.Registry.all;
+  checki "minic.units" 9448 !units;
+  checki "crush.groups" 61 !groups;
+  checki "crush.inorder_evals" 95 !evals;
+  checki "LUTs" 272193 !area.luts;
+  checki "FFs" 300880 !area.ffs;
+  checki "DSPs" 600 !area.dsps
+
 let suite =
   let full_matrix =
     List.concat_map
@@ -101,5 +143,7 @@ let suite =
       ("determinism", `Quick, test_determinism);
       ("seeded data", `Quick, test_different_seeds_change_data);
       ("registry", `Quick, test_registry_lookup);
+      ("compile exact counts (11 kernels x 5 flows)", `Quick,
+       test_compile_exact_counts);
       ("table-1 circuit (x15)", `Slow, test_unrolled_table1_circuit);
     ]

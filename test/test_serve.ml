@@ -499,15 +499,22 @@ let prop_tier_equivalence =
    loss path SIGKILLs-then-reaps the dead pid and releases the slot
    immediately, never serializing the next admission behind the
    deadline+grace window.  grace_s is set prohibitively high so a
-   regression shows up as this test blowing its wall-clock bound. *)
+   regression shows up as this test blowing its wall-clock bound.  The
+   pool runs with SIGPIPE ignored, as in the daemon ({!Serve.Server.create}
+   sets it): the job sent after the kill can reach a pipe whose reader
+   is already gone, and must then classify as worker-lost through
+   EPIPE instead of killing the test process. *)
 let test_workers_prompt_release () =
+  let saved_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let w =
     Serve.Workers.create ~binary:Sys.executable_name
       ~argv_tail:[ "__worker"; "--kind"; "serve" ]
       ~heartbeat_s:0.0 ~grace_s:60.0 ~n:1
   in
   Fun.protect
-    ~finally:(fun () -> ignore (Serve.Workers.shutdown w ~timeout_s:5.0))
+    ~finally:(fun () ->
+      ignore (Serve.Workers.shutdown w ~timeout_s:5.0);
+      Sys.set_signal Sys.sigpipe saved_sigpipe)
     (fun () ->
       let deadline = Unix.gettimeofday () +. 60.0 in
       let spec seed = Api.job_to_json (mk_job ~seed ()) in
