@@ -8,7 +8,8 @@
 DUNE ?= dune
 
 .PHONY: all build test perfbench-selftest chaos chaos-supervised crash-chaos \
-  sanitize-smoke bench-smoke serve-smoke faultfs-smoke fmt check clean
+  sanitize-smoke bench-smoke serve-smoke faultfs-smoke perfbench-ab fmt check \
+  clean
 
 all: build
 
@@ -103,6 +104,19 @@ faultfs-smoke: build
 	  --out _build/faultfs/verdicts.jsonl
 	$(DUNE) exec bin/crush_cli.exe -- bench-serve --clients 2 --requests 6 \
 	  --faultfs --out _build/faultfs/BENCH_serve_faultfs.json
+
+# Interleaved A/B runs of one benchmark workload: the base revision
+# (the merge-base, see bench/ab.py) is checked out in a git
+# worktree under _build/perfbench-ab/ and `perfbench/run.py` alternates
+# between it and this checkout, printing per-pair ratios, each side's
+# median and quartiles, and whether each end-to-end metric shows a gain.
+# Not part of `make check`.  For example:
+#   make perfbench-ab WORKLOAD=compile SEED=7 PAIRS=10 RUN_SECONDS=20
+WORKLOAD ?= compile
+SEED ?= 1
+perfbench-ab:
+	python3 bench/ab.py --workload $(WORKLOAD) --seed $(SEED) \
+	  $(if $(PAIRS),--pairs $(PAIRS)) $(if $(RUN_SECONDS),--seconds $(RUN_SECONDS))
 
 # Reformat the tree with the ocamlformat version pinned in .ocamlformat.
 # Requires `opam install ocamlformat.0.27.0`; CI runs the check-only

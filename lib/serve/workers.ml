@@ -34,6 +34,9 @@ let locked t f =
 
 let create ~binary ~argv_tail ~heartbeat_s ~grace_s ~n =
   if n < 1 then invalid_arg "Workers.create: n < 1";
+  (* A job written to a worker that has just died must fail with EPIPE,
+     which [run_job] classifies as a loss, not kill this process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t =
     {
       binary;

@@ -26,7 +26,12 @@ type t
 (** Spawn-on-demand pool of [n] slots.  [binary] is launched with
     [argv_tail] (conventionally [["__worker"; "--kind"; "serve"; ...]]).
     [heartbeat_s <= 0.] disables the silence watchdog; [grace_s] is the
-    slack past a request deadline before the hard SIGKILL. *)
+    slack past a request deadline before the hard SIGKILL.
+
+    Sets SIGPIPE to ignored for the whole process, and leaves it so: a
+    worker can die just before a job is written to its pipe, and that
+    write must fail with EPIPE, which {!run_job} reports as
+    [Worker_lost], rather than kill the caller. *)
 val create :
   binary:string ->
   argv_tail:string list ->

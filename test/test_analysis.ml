@@ -81,6 +81,15 @@ let test_ratio_unbounded () =
     (Analysis.Cycle_ratio.compute [ edge 0 1 1 0; edge 1 0 1 0 ]
     = Analysis.Cycle_ratio.Unbounded)
 
+(* A zero-latency token-free cycle (a combinational loop) counts as
+   ratio 0: a cycle, so neither [Acyclic] nor [Unbounded], and the
+   search closes on 0 from above, ending within [eps] of it. *)
+let test_ratio_zero_latency_token_free () =
+  let edges = [ edge 0 1 0 0; edge 1 0 0 0 ] in
+  checkb "a cycle" (Analysis.Cycle_ratio.has_cycle edges);
+  let r = ratio_of (Analysis.Cycle_ratio.compute edges) in
+  checkb "within eps of 0" (r >= 0.0 && r <= 1e-4)
+
 let test_ratio_acyclic () =
   checkb "no cycle"
     (Analysis.Cycle_ratio.compute [ edge 0 1 5 0; edge 1 2 5 0 ]
@@ -290,6 +299,9 @@ let suite =
     ("ratio: two tokens", `Quick, test_ratio_two_tokens);
     ("ratio: max of cycles", `Quick, test_ratio_max_of_cycles);
     ("ratio: unbounded", `Quick, test_ratio_unbounded);
+    ( "ratio: zero-latency token-free ring",
+      `Quick,
+      test_ratio_zero_latency_token_free );
     ("ratio: acyclic", `Quick, test_ratio_acyclic);
     ("cfc: backedges", `Quick, test_backedge_detection);
     ("cfc: accumulator II", `Quick, test_cfc_ii_of_accumulator);

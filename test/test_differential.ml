@@ -329,15 +329,15 @@ let of_rewrite = function
   | Analysis.Cycle_ratio.Unbounded -> Oracle_cycle_ratio.Unbounded
   | Analysis.Cycle_ratio.Acyclic -> Oracle_cycle_ratio.Acyclic
 
-let check_edges name edges =
+let check_edges ?eps name edges =
   Alcotest.(check bool)
     (name ^ ": has_cycle")
     (Oracle_cycle_ratio.has_cycle edges)
     (Analysis.Cycle_ratio.has_cycle edges);
   Alcotest.(check string)
     (name ^ ": compute")
-    (ratio_string (Oracle_cycle_ratio.compute edges))
-    (ratio_string (of_rewrite (Analysis.Cycle_ratio.compute edges)))
+    (ratio_string (Oracle_cycle_ratio.compute ?eps edges))
+    (ratio_string (of_rewrite (Analysis.Cycle_ratio.compute ?eps edges)))
 
 let loop_edges g l =
   let scope = Hashtbl.create 97 in
@@ -493,6 +493,185 @@ let test_cycle_ratio_corners () =
       ("negative ids", [ edge (-7) 12 4 1; edge 12 (-7) 4 2 ]);
     ]
 
+(* A ring of [len] edges from node 0 carrying latency [lat] on its first
+   edge and [tok] tokens on its last, plus an acyclic tail of 12 edges
+   whose first carries latency [pad]: the tail only raises the search's
+   upper end [hi0 = 2 + sum of latencies] and gives the probes enough
+   rounds to walk their parent graphs for a witness. *)
+let padded_ring ~len ~lat ~tok pad =
+  List.init len (fun i ->
+      edge i ((i + 1) mod len)
+        (if i = 0 then lat else 0)
+        (if i = len - 1 then tok else 0))
+  @ List.init 12 (fun i -> edge (len + i) (len + i + 1) (if i = 0 then pad else 0) 0)
+
+(* Rings whose ratio lat/tok is a bisection midpoint [hi0 * q / 2^j]
+   (q odd): the search probes exactly the ring's ratio, where its weight
+   W is 0, after true and false probes have set the witness. *)
+let test_cycle_ratio_midpoints () =
+  let checked = ref 0 in
+  for lat = 1 to 16 do
+    for tok = 1 to 4 do
+      for j = 1 to 6 do
+        for q = 1 to (1 lsl j) - 1 do
+          let num = lat lsl j and den = tok * q in
+          if q land 1 = 1 && num mod den = 0 && num / den >= lat + 2 then
+            List.iter
+              (fun len ->
+                incr checked;
+                check_edges
+                  (Fmt.str "ring %d/%d = hi0*%d/2^%d, %d edges" lat tok q j len)
+                  (padded_ring ~len ~lat ~tok ((num / den) - lat - 2)))
+              [ 1; 2; 3 ]
+        done
+      done
+    done
+  done;
+  checkb "midpoint rings checked" (!checked > 100)
+
+(* Rings whose weight at a probed midpoint is [s * 2^-bits] for small
+   [s]: within a few [len * 1e-9] of zero, on either side of the
+   relaxation tolerance and of any witness margin.  With [hi0] odd and
+   between 2^(bits-1) and 2^bits times the default [eps] (1e-4), the
+   search makes exactly [bits] probes, the last at a multiple of
+   [hi0 / 2^bits]; choosing [q] with [lat * 2^bits - tok * hi0 * q = s]
+   puts the ring's ratio lat/tok just [s / (tok * 2^bits)] above the
+   probed midpoint [hi0 * q / 2^bits].  Each case also checks the search
+   closed on the ring's ratio. *)
+let test_cycle_ratio_window () =
+  let checked = ref 0 in
+  List.iter
+    (fun (bits, hi0) ->
+      let modulus = 1 lsl bits in
+      let mask = modulus - 1 in
+      (* Inverse of an odd [a] modulo 2^bits, by Newton's iteration. *)
+      let inverse a =
+        let x = ref a in
+        for _ = 1 to 5 do
+          x := !x * ((2 - (a * !x)) land mask) land mask
+        done;
+        !x
+      in
+      List.iter
+        (fun tok ->
+          List.iter
+            (fun s ->
+              let q = (-s * inverse (tok * hi0)) land mask in
+              checki "lat * 2^bits - tok * hi0 * q = s" 0
+                (((tok * hi0 * q) + s) land mask);
+              let lat = ((tok * hi0 * q) + s) / modulus in
+              if lat >= 1 && lat <= hi0 - 2 then
+                List.iter
+                  (fun len ->
+                    incr checked;
+                    let edges = padded_ring ~len ~lat ~tok (hi0 - 2 - lat) in
+                    let name =
+                      Fmt.str "ring %d/%d, W = %d * 2^-%d, %d edges" lat tok s
+                        bits len
+                    in
+                    check_edges name edges;
+                    match Analysis.Cycle_ratio.compute edges with
+                    | Analysis.Cycle_ratio.Ratio r ->
+                        checkb (name ^ ": closes on lat/tok")
+                          (Float.abs
+                             (r -. (float_of_int lat /. float_of_int tok))
+                          <= 1e-4)
+                    | other ->
+                        Alcotest.failf "%s: %a" name Analysis.Cycle_ratio.pp
+                          other)
+                  [ 1; 2; 3; 4; 6; 8 ])
+            [ -3; -1; 1; 2; 3; 4; 5; 6; 8 ])
+        [ 1; 3; 5 ])
+    [
+      (28, 13423); (28, 16385); (28, 20001); (28, 24999); (28, 26841);
+      (31, 107375); (31, 131073); (31, 214747);
+    ];
+  checkb "window rings checked" (!checked > 100);
+  (* At a fine [eps] the search runs on until its probes straddle the
+     tolerance: the last ones weigh a non-dyadic ring within a few
+     [len * 1e-9] of zero. *)
+  List.iter
+    (fun (lat, tok) ->
+      List.iter
+        (fun len ->
+          List.iter
+            (fun eps ->
+              check_edges ~eps
+                (Fmt.str "ring %d/%d, %d edges, eps %g" lat tok len eps)
+                (padded_ring ~len ~lat ~tok 0))
+            [ 1e-9; 1e-12 ])
+        [ 1; 2; 5; 9 ])
+    [ (1, 3); (2, 3); (5, 7); (10, 3); (22, 7); (1, 9) ]
+
+(* Cycles overlapping at a hub: the cycle the first probes happen to
+   certify is seldom the critical one.  Rings of ratio 2, 9 and 4 share
+   node 0, and a chord 3 -> 1 closes a fourth cycle (8/1) through two of
+   them; every order of the blocks is checked, at two precisions.  An
+   acyclic tail gives the probes enough rounds to walk for a witness. *)
+let test_cycle_ratio_overlapping () =
+  let blocks =
+    [
+      [ edge 0 1 1 0; edge 1 0 1 1 ];
+      [ edge 0 2 3 0; edge 2 3 3 0; edge 3 0 3 1 ];
+      [ edge 0 4 2 0; edge 4 5 2 0; edge 5 6 2 1; edge 6 0 2 1 ];
+      [ edge 3 1 1 0 ];
+    ]
+  in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            List.map (fun p -> x :: p)
+              (permutations (List.filter (fun y -> y != x) l)))
+          l
+  in
+  let tail = List.init 10 (fun i -> edge (100 + i) (101 + i) 0 0) in
+  List.iteri
+    (fun k order ->
+      List.iter
+        (fun eps ->
+          check_edges ~eps
+            (Fmt.str "hub order %d, eps %g" k eps)
+            (List.concat order @ tail))
+        [ 1e-4; 1e-9 ])
+    (permutations blocks)
+
+(* Random overlapping cycles: each a random walk over a shared pool of
+   nodes closed back to its start, at a random precision, with an
+   acyclic tail as above. *)
+let gen_overlapping =
+  let open QCheck2.Gen in
+  let cycle =
+    int_range 1 5 >>= fun len ->
+    list_repeat len
+      (triple (int_bound 5) (int_range 0 9)
+         (frequency [ (3, return 0); (2, int_range 1 2) ]))
+    >|= fun hops ->
+    let nodes = List.map (fun (v, _, _) -> v) hops in
+    List.mapi
+      (fun i (v, l, t) ->
+        edge v (List.nth nodes ((i + 1) mod List.length nodes)) l t)
+      hops
+  in
+  pair (list_size (int_range 1 4) cycle) (oneofl [ 1e-4; 1e-9; 1e-12 ])
+  >|= fun (cycles, eps) ->
+  (List.concat cycles @ List.init 10 (fun i -> edge (100 + i) (101 + i) 0 0), eps)
+
+let prop_cycle_ratio_overlapping =
+  qtest ~count:300 "overlapping cycles: cycle ratio = oracle"
+    ~print:(fun (edges, eps) ->
+      Fmt.str "eps %g: %s" eps
+        (String.concat "; "
+           (List.map
+              (fun (e : Analysis.Timed_graph.edge) ->
+                Fmt.str "%d->%d l%d t%d" e.src e.dst e.latency e.tokens)
+              edges)))
+    gen_overlapping
+    (fun (edges, eps) ->
+      check_edges ~eps "overlapping cycles" edges;
+      true)
+
 (* Random timed graphs: one or two components (disjoint id ranges), each
    a random edge list over a few nodes — self-loops, parallel duplicates
    and token-free cycles arise often, the empty list too. *)
@@ -553,4 +732,11 @@ let suite =
       Alcotest.test_case "cycle ratio = oracle: corner cases" `Quick
         test_cycle_ratio_corners;
       prop_cycle_ratio_random;
+      Alcotest.test_case "cycle ratio = oracle: ratio at a bisection midpoint"
+        `Quick test_cycle_ratio_midpoints;
+      Alcotest.test_case "cycle ratio = oracle: tolerance window" `Quick
+        test_cycle_ratio_window;
+      Alcotest.test_case "cycle ratio = oracle: overlapping cycles" `Quick
+        test_cycle_ratio_overlapping;
+      prop_cycle_ratio_overlapping;
     ]

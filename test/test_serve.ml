@@ -500,12 +500,33 @@ let prop_tier_equivalence =
    immediately, never serializing the next admission behind the
    deadline+grace window.  grace_s is set prohibitively high so a
    regression shows up as this test blowing its wall-clock bound.  The
-   pool runs with SIGPIPE ignored, as in the daemon ({!Serve.Server.create}
-   sets it): the job sent after the kill can reach a pipe whose reader
-   is already gone, and must then classify as worker-lost through
-   EPIPE instead of killing the test process. *)
+   test sets SIGPIPE to its default, which kills the process, before
+   creating the pool, and sends the next job only once the killed worker
+   has exited: the job then meets a pipe whose reader is gone, and the
+   pool itself must ignore SIGPIPE so that the write classifies as
+   worker-lost through EPIPE instead of killing the test process. *)
+(* Wait, up to 5 s, until [pid] has exited (a zombie, or reaped), so
+   every pipe end it held is closed. *)
+let wait_exited pid =
+  let exited () =
+    match
+      In_channel.with_open_text (Fmt.str "/proc/%d/stat" pid)
+        In_channel.input_all
+    with
+    | stat -> (
+        (* The state letter follows the parenthesised command name. *)
+        match String.rindex_opt stat ')' with
+        | Some i when i + 2 < String.length stat -> stat.[i + 2] = 'Z'
+        | _ -> false)
+    | exception Sys_error _ -> true
+  in
+  let until = Unix.gettimeofday () +. 5.0 in
+  while (not (exited ())) && Unix.gettimeofday () < until do
+    Unix.sleepf 0.001
+  done
+
 let test_workers_prompt_release () =
-  let saved_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let saved_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_default in
   let w =
     Serve.Workers.create ~binary:Sys.executable_name
       ~argv_tail:[ "__worker"; "--kind"; "serve" ]
@@ -531,7 +552,9 @@ let test_workers_prompt_release () =
       checks "warm run" "ok" (Api.code_of_outcome o);
       Serve.Workers.release w slot;
       (match Serve.Workers.pids w with
-      | pid :: _ -> Unix.kill pid Sys.sigkill
+      | pid :: _ ->
+          Unix.kill pid Sys.sigkill;
+          wait_exited pid
       | [] -> Alcotest.fail "no live worker to kill");
       let t0 = Unix.gettimeofday () in
       let slot = take () in
